@@ -8,7 +8,7 @@ SHELL       := /bin/bash
 GO        ?= go
 BENCHTIME ?= 200x
 # The microbenchmark set archived per PR: scheduler (wheel vs heap),
-# batched ticks, descriptor stores (flat vs sharded), the data-plane
+# batched ticks, descriptor-store lookup and churn, the data-plane
 # fast paths from PR 1, and PR 5's pooled-vs-unpooled infection pair.
 BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|DescriptorStore|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom
 
@@ -61,10 +61,10 @@ race:
 	$(GO) test -race -short ./...
 
 # bench runs the microbenchmark set with -benchmem, then the n=10^6
-# Fig 5 memory-plane point (one iteration IS the experiment; it
-# reports its heap high-water mark as a custom heap-MiB metric), and
-# archives both as BENCH_pr9.json (stderr keeps the human-readable
-# stream).
+# Fig 5 memory-plane point in a test process of its own (one iteration
+# IS the experiment; it reports the process's peak resident set,
+# getrusage ru_maxrss, as a custom peak-rss-MiB metric), and archives
+# both as BENCH_pr9.json (stderr keeps the human-readable stream).
 bench:
 	{ $(GO) test -run=NONE -bench='$(BENCH)' -benchtime=$(BENCHTIME) -benchmem ./... && \
 	  $(GO) test -run=NONE -bench=Fig5MillionNode -benchtime=1x -timeout 60m ./internal/experiment/; } \
@@ -109,11 +109,6 @@ sweep-smoke:
 	/tmp/onionsim-ci -sweep examples/sweep/hsdir-outage-grid.json -parallel 1 -json > /tmp/onionsim-faults-p1.json
 	/tmp/onionsim-ci -sweep examples/sweep/hsdir-outage-grid.json -parallel 4 -json > /tmp/onionsim-faults-p4.json
 	cmp /tmp/onionsim-faults-p1.json /tmp/onionsim-faults-p4.json
-	# Store-backend A/B: the three DescriptorStore backends must be
-	# observably identical, and the sweep itself byte-deterministic.
-	/tmp/onionsim-ci -sweep examples/sweep/store-ab.json -parallel 1 -json > /tmp/onionsim-store-p1.json
-	/tmp/onionsim-ci -sweep examples/sweep/store-ab.json -parallel 4 -json > /tmp/onionsim-store-p4.json
-	cmp /tmp/onionsim-store-p1.json /tmp/onionsim-store-p4.json
 
 # scenario-smoke runs the whole named-question library in quick mode —
 # every expectation must PASS (non-zero exit otherwise) — and

@@ -26,7 +26,8 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// Metrics holds custom units reported via testing.B.ReportMetric
-	// (e.g. "heap-MiB" from the million-node memory-profile benchmark).
+	// (e.g. "peak-rss-MiB", the process's peak resident set, from the
+	// million-node Fig 5 benchmark).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

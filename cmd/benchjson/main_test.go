@@ -17,11 +17,11 @@ func TestParseBenchLine(t *testing.T) {
 }
 
 func TestParseBenchLineCustomMetrics(t *testing.T) {
-	r, ok := parseBenchLine("BenchmarkFig5MillionNode-8   1   42.5e9 ns/op   131.5 heap-MiB   183 log-chunks")
+	r, ok := parseBenchLine("BenchmarkFig5MillionNode-8   1   42.5e9 ns/op   631.5 peak-rss-MiB   183 widgets/op")
 	if !ok {
 		t.Fatal("line rejected")
 	}
-	if r.Metrics["heap-MiB"] != 131.5 || r.Metrics["log-chunks"] != 183 {
+	if r.Metrics["peak-rss-MiB"] != 631.5 || r.Metrics["widgets/op"] != 183 {
 		t.Fatalf("custom metrics not captured: %+v", r.Metrics)
 	}
 }

@@ -59,7 +59,6 @@ import (
 	"onionbots/internal/faults"
 	"onionbots/internal/scenario"
 	"onionbots/internal/serve"
-	"onionbots/internal/tor"
 )
 
 func main() {
@@ -77,7 +76,6 @@ func run() error {
 		seed      = flag.Uint64("seed", 1, "root seed; every task derives its own substream from it")
 		churnStr  = flag.String("churn", "", `inline churn spec applied to -exp tasks, e.g. '{"process":"poisson","leave":8}'`)
 		faultsStr = flag.String("faults", "", `inline fault-plane spec applied to -exp tasks, e.g. '{"outage_frac":0.3,"outage_at_h":2,"retry_attempts":4,"retry_backoff_s":1800}'`)
-		storeStr  = flag.String("store", "", `descriptor-store backend for -exp tasks: "flat", "sharded", or "mmap" ("" = default); outputs are byte-identical across backends`)
 		taskTO    = flag.Duration("task-timeout", 0, "per-task wall-clock timeout (0 = off; a timed-out task is reported as failed)")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "worker count (output is identical at any value; see package doc for the full-mode probing exception)")
 		sweep     = flag.String("sweep", "", "run a JSON scenario-sweep spec instead of -exp")
@@ -206,7 +204,7 @@ func run() error {
 		return runScenarios(runner, *scen, *quick, *jsonOut, *csvDir)
 	}
 
-	tasks, err := buildTasks(*exp, *quick, *seed, *churnStr, *faultsStr, *storeStr)
+	tasks, err := buildTasks(*exp, *quick, *seed, *churnStr, *faultsStr)
 	if err != nil {
 		return err
 	}
@@ -246,9 +244,8 @@ func run() error {
 // `-exp all -seed 1` run fig6 on the same substream. A non-empty
 // churnStr is parsed as an inline churn.Spec and handed to every task
 // (experiments without a churn phase ignore it); faultsStr does the
-// same with an inline faults.Spec for the fault-plane experiments, and
-// store selects the descriptor-store backend for protocol-level tasks.
-func buildTasks(exp string, quick bool, seed uint64, churnStr, faultsStr, store string) ([]experiment.Task, error) {
+// same with an inline faults.Spec for the fault-plane experiments.
+func buildTasks(exp string, quick bool, seed uint64, churnStr, faultsStr string) ([]experiment.Task, error) {
 	ids := experiment.IDs()
 	if exp != "all" {
 		ids = strings.Split(exp, ",")
@@ -274,15 +271,12 @@ func buildTasks(exp string, quick bool, seed uint64, churnStr, faultsStr, store 
 		}
 		fspec = &spec
 	}
-	if _, err := tor.NewDescriptorStoreByName(store); err != nil {
-		return nil, fmt.Errorf("-store: %w", err)
-	}
 	tasks := make([]experiment.Task, 0, len(ids))
 	for _, id := range ids {
 		tasks = append(tasks, experiment.Task{
 			Label:      id,
 			Experiment: id,
-			Params:     experiment.Params{Quick: quick, Seed: seed, Churn: cspec, Faults: fspec, Store: store},
+			Params:     experiment.Params{Quick: quick, Seed: seed, Churn: cspec, Faults: fspec},
 		})
 	}
 	return tasks, nil

@@ -74,12 +74,10 @@ type BotConfig struct {
 	// the botmaster's, via BotNet). The zero value keeps single-attempt
 	// dials — byte-identical to a population predating the fault plane.
 	Retry tor.RetryPolicy
-	// Store selects the DescriptorStore backend every relay in the
-	// botnet's Tor network uses: "flat", "sharded", "mmap", or "" for
-	// the default (sharded). The backends are observably identical —
-	// fixed-seed runs are byte-identical across them — so the knob
-	// trades memory layout (heap maps vs off-heap append-log), never
-	// behavior. BotNet construction rejects unknown names.
+	// Store names the descriptor store. The only valid value is "";
+	// NewBotNet rejects any other name.
+	//
+	// Deprecated: there is one descriptor store. Leave Store empty.
 	Store string
 }
 

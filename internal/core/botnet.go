@@ -114,11 +114,10 @@ type BotNet struct {
 func NewBotNet(seed uint64, numRelays int, cfg BotConfig) (*BotNet, error) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(seed)
-	newStore, err := tor.NewDescriptorStoreByName(cfg.Store)
-	if err != nil {
-		return nil, err
+	if cfg.Store != "" {
+		return nil, fmt.Errorf("core: unknown descriptor store %q (leave BotConfig.Store empty)", cfg.Store)
 	}
-	net := tor.NewNetwork(sched, rng, tor.Config{NewDescriptorStore: newStore})
+	net := tor.NewNetwork(sched, rng, tor.Config{})
 	if err := net.Bootstrap(numRelays); err != nil {
 		return nil, err
 	}

@@ -17,9 +17,6 @@ func init() {
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultChurnSoapConfig(p.Quick)
 			cfg.Seed = p.Seed
-			if p.Store != "" {
-				cfg.Store = p.Store
-			}
 			if p.N > 0 {
 				cfg.Bots = p.N
 			}
@@ -69,8 +66,6 @@ type ChurnSoapConfig struct {
 	Soap soap.Spec
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
-	Store string
 }
 
 // DefaultChurnSoapConfig returns the full or quick preset: a balanced
@@ -115,7 +110,6 @@ func RunChurnSoap(cfg ChurnSoapConfig) (*Result, error) {
 		DMin: 2, DMax: 4,
 		PingInterval: cfg.PingInterval,
 		NoNInterval:  cfg.NoNInterval,
-		Store:        cfg.Store,
 	})
 	if err != nil {
 		return nil, err

@@ -43,7 +43,9 @@ type Fig7Config struct {
 	SampleEvery time.Duration
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
+	// Store names the descriptor store. The only valid value is "".
+	//
+	// Deprecated: there is one descriptor store. Leave Store empty.
 	Store string
 }
 

@@ -17,9 +17,6 @@ func init() {
 		Run: func(p Params) ([]*Result, error) {
 			cfg := DefaultHSDirOutageConfig(p.Quick)
 			cfg.Seed = p.Seed
-			if p.Store != "" {
-				cfg.Store = p.Store
-			}
 			if p.N > 0 {
 				cfg.Bots = p.N
 			}
@@ -64,8 +61,6 @@ type HSDirOutageConfig struct {
 	Spec faults.Spec
 	// Seed drives all randomness.
 	Seed uint64
-	// Store selects the tor.DescriptorStore backend ("" = default).
-	Store string
 }
 
 // DefaultHSDirOutageConfig returns the full or quick preset. The
@@ -118,7 +113,6 @@ func RunHSDirOutage(cfg HSDirOutageConfig) (*Result, error) {
 		PingInterval: 10 * time.Minute,
 		NoNInterval:  30 * time.Minute,
 		Retry:        rp,
-		Store:        cfg.Store,
 	})
 	if err != nil {
 		return nil, err

@@ -20,21 +20,6 @@ type Task struct {
 	Experiment string `json:"experiment"`
 	// Params are the generic parameters passed to the experiment.
 	Params Params `json:"params"`
-	// SeedLabel, when non-empty, replaces Label in the substream seed
-	// derivation. The sweep engine sets it on tasks that differ only in
-	// the descriptor-store backend so the whole group shares one random
-	// stream: the store axis is then a pure memory-plane A/B whose task
-	// outputs are byte-identical across backends. Empty means "use
-	// Label", which keeps every other task's identity unchanged.
-	SeedLabel string `json:"seed_label,omitempty"`
-}
-
-// seedLabel returns the label the substream seed is derived from.
-func (t Task) seedLabel() string {
-	if t.SeedLabel != "" {
-		return t.SeedLabel
-	}
-	return t.Label
 }
 
 // TaskResult pairs a task with its outcome. Results are positionally
@@ -43,7 +28,7 @@ func (t Task) seedLabel() string {
 type TaskResult struct {
 	Task Task `json:"task"`
 	// EffectiveSeed is the substream seed the experiment actually ran
-	// with: sim.SubstreamSeed(Task.Params.Seed, Task.seedLabel()).
+	// with: sim.SubstreamSeed(Task.Params.Seed, Task.Label).
 	// Feeding it back through Params.Seed with an identical label
 	// reproduces the task bit-for-bit.
 	EffectiveSeed uint64 `json:"effective_seed"`
@@ -259,7 +244,7 @@ func (r *Runner) attemptTask(t Task) (tr TaskResult, transient bool) {
 		return a.tr, a.transient
 	case <-timer.C:
 		r.abandoned.Add(1)
-		tr := TaskResult{Task: t, EffectiveSeed: sim.SubstreamSeed(t.Params.Seed, t.seedLabel())}
+		tr := TaskResult{Task: t, EffectiveSeed: sim.SubstreamSeed(t.Params.Seed, t.Label)}
 		tr.Err = fmt.Errorf("task %s timed out after %s", t.Label, r.TaskTimeout)
 		tr.Error = tr.Err.Error()
 		tr.Elapsed = r.TaskTimeout
@@ -270,7 +255,7 @@ func (r *Runner) attemptTask(t Task) (tr TaskResult, transient bool) {
 func runTask(t Task) (tr TaskResult, panicked bool) {
 	//onionlint:allow detclock -- Elapsed is progress/ops telemetry on stderr; the deterministic result document never includes it
 	start := time.Now()
-	tr = TaskResult{Task: t, EffectiveSeed: sim.SubstreamSeed(t.Params.Seed, t.seedLabel())}
+	tr = TaskResult{Task: t, EffectiveSeed: sim.SubstreamSeed(t.Params.Seed, t.Label)}
 	defer func() {
 		if p := recover(); p != nil {
 			tr.Err = fmt.Errorf("task %s panicked: %v", t.Label, p)

@@ -23,6 +23,21 @@ func TestParseSweepValidates(t *testing.T) {
 	}
 }
 
+// TestParseSweepRejectsBadStore pins that the retired "stores" axis is
+// refused outright: there is one descriptor store, so any spec naming
+// stores — unknown, duplicated or otherwise — is an unknown field.
+func TestParseSweepRejectsBadStore(t *testing.T) {
+	for _, spec := range []string{
+		`{"experiments":["fig6"],"stores":["ramdisk"]}`,
+		`{"experiments":["fig6"],"stores":["mmap","mmap"]}`,
+		`{"experiments":["churn-hotlist"],"stores":["flat"]}`,
+	} {
+		if _, err := ParseSweep([]byte(spec)); err == nil || !strings.Contains(err.Error(), `"stores"`) {
+			t.Errorf("%s: err = %v, want unknown field \"stores\"", spec, err)
+		}
+	}
+}
+
 func TestParseSweepDefaultsName(t *testing.T) {
 	s, err := ParseSweep([]byte(`{"experiments":["fig6","fig3"]}`))
 	if err != nil {

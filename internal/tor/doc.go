@@ -37,12 +37,11 @@
 //   - Signature verification of immutable bytes (descriptors, intro
 //     bindings) is memoized network-wide; outcomes are unchanged
 //     because verification is a pure function of its input.
-//   - Directory state lives in sharded open-addressed tables keyed by
-//     the ring digests themselves (store.go): HSDir descriptor storage
-//     sits behind the DescriptorStore interface (flat map reference
-//     backend vs the sharded default, swappable per Config), and the
-//     fingerprint→relay table uses the same layout, so building and
-//     churning very large networks is not map-rehash bound.
+//   - Directory state is plain maps: each HSDir keeps its descriptors
+//     in a DescriptorStore (store.go, allocated on the first Put) and
+//     the network maps fingerprints to relays. Relay removal
+//     swap-removes from the insertion-order slice, and consensus
+//     snapshots sort by fingerprint, so map order never reaches output.
 //
 // All of this is observationally equivalent to the slow path: fixed
 // seeds produce byte-identical experiment outputs.

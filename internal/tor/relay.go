@@ -47,7 +47,7 @@ type Relay struct {
 	// circuit.
 	rendByCookie map[[cookieSize]byte]uint64
 	// store holds hidden-service descriptors when this relay is an
-	// HSDir; the backend comes from Config.NewDescriptorStore.
+	// HSDir.
 	store DescriptorStore
 }
 

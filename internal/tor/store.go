@@ -1,271 +1,46 @@
 package tor
 
-// Storage backends for the directory layer. The seed implementation
-// kept one flat map[DescriptorID]*Descriptor per HSDir and one flat
-// map[Fingerprint]*Relay per network. Both key types are outputs of
-// cryptographic hashes, which a general-purpose Go map re-hashes on
-// every access and rehashes wholesale whenever it grows. The sharded
-// backend below exploits the keys' own uniformity: the leading eight
-// key bytes are the hash, entries live in open-addressed, linearly
-// probed shard tables (one cache line per probe, no hash computation),
-// and growth rehashes one sixteenth of the population at a time.
+import "fmt"
 
 // DescriptorStore is the storage behind an HSDir relay's descriptor
-// cache. Implementations need not be safe for concurrent use: each
-// simulation task drives its network from one goroutine.
-type DescriptorStore interface {
-	// Put stores (or replaces) the descriptor at id.
-	Put(id DescriptorID, d *Descriptor)
-	// Get returns the descriptor stored at id, if any.
-	Get(id DescriptorID) (*Descriptor, bool)
-	// Delete removes the descriptor at id (absent ids are a no-op).
-	Delete(id DescriptorID)
-	// Len reports the number of stored descriptors.
-	Len() int
-}
-
-// FlatDescriptorStore is the seed backend: one Go map keyed by the full
-// 20-byte descriptor id. Kept as the executable reference the sharded
-// backend is differentially tested against, and as the conservative
-// fallback (Config.NewDescriptorStore).
-type FlatDescriptorStore struct {
+// cache: a map keyed by the full 20-byte descriptor id. The zero value
+// is an empty store ready to use; the map is allocated on the first
+// Put, so relays that never become HSDirs hold no table. A store need
+// not be safe for concurrent use: each simulation task drives its
+// network from one goroutine.
+type DescriptorStore struct {
 	m map[DescriptorID]*Descriptor
 }
 
-// NewFlatDescriptorStore returns an empty flat backend.
-func NewFlatDescriptorStore() *FlatDescriptorStore {
-	return &FlatDescriptorStore{m: make(map[DescriptorID]*Descriptor)}
+// Put stores (or replaces) the descriptor at id.
+func (s *DescriptorStore) Put(id DescriptorID, d *Descriptor) {
+	if s.m == nil {
+		s.m = make(map[DescriptorID]*Descriptor)
+	}
+	s.m[id] = d
 }
 
-// Put stores the descriptor at id.
-func (s *FlatDescriptorStore) Put(id DescriptorID, d *Descriptor) { s.m[id] = d }
-
-// Get returns the descriptor stored at id.
-func (s *FlatDescriptorStore) Get(id DescriptorID) (*Descriptor, bool) {
+// Get returns the descriptor stored at id, if any.
+func (s *DescriptorStore) Get(id DescriptorID) (*Descriptor, bool) {
 	d, ok := s.m[id]
 	return d, ok
 }
 
-// Delete removes the descriptor at id.
-func (s *FlatDescriptorStore) Delete(id DescriptorID) { delete(s.m, id) }
+// Delete removes the descriptor at id (absent ids are a no-op).
+func (s *DescriptorStore) Delete(id DescriptorID) { delete(s.m, id) }
 
 // Len reports the number of stored descriptors.
-func (s *FlatDescriptorStore) Len() int { return len(s.m) }
+func (s *DescriptorStore) Len() int { return len(s.m) }
 
-// ringTable is an open-addressed hash table over 20-byte ring keys
-// (descriptor ids, relay fingerprints). The key's leading eight bytes
-// serve directly as the hash — the keys are SHA-type digests, so they
-// are their own perfect hash; adversarially clustered keys (an attacker
-// brute-forcing fingerprints next to a descriptor id, Section VI-A)
-// only lengthen a local probe run, never break correctness. Slots carry
-// an occupancy stamp (empty / live / tombstone); deletions stamp a
-// tombstone and churn recycles them in place, so steady-state mutation
-// allocates nothing.
-type ringTable[V any] struct {
-	slots []ringSlot[V] // power-of-two length
-	live  int
-	dead  int // tombstones
-}
-
-type ringSlot[V any] struct {
-	state uint8 // slotEmpty, slotLive, slotDead
-	key   [20]byte
-	val   V
-}
-
-const (
-	slotEmpty = iota
-	slotLive
-	slotDead
-)
-
-func ringHash(key [20]byte) uint64 {
-	var h uint64
-	for i := 0; i < 8; i++ {
-		h = h<<8 | uint64(key[i])
+// NewDescriptorStoreByName returns a constructor for the descriptor
+// store named name. The only name is "", the map store; any other name
+// is an error.
+//
+// Deprecated: there is one descriptor store. Use a zero DescriptorStore.
+// The function remains for callers that still pass a backend name.
+func NewDescriptorStoreByName(name string) (func() *DescriptorStore, error) {
+	if name != "" {
+		return nil, fmt.Errorf("tor: unknown descriptor store %q (the only store is the default, \"\")", name)
 	}
-	return h
+	return func() *DescriptorStore { return new(DescriptorStore) }, nil
 }
-
-// get returns the value stored at key.
-func (t *ringTable[V]) get(key [20]byte) (V, bool) {
-	var zero V
-	if len(t.slots) == 0 {
-		return zero, false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := ringHash(key) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		switch s.state {
-		case slotEmpty:
-			return zero, false
-		case slotLive:
-			if s.key == key {
-				return s.val, true
-			}
-		}
-	}
-}
-
-// put stores (or replaces) the value at key.
-func (t *ringTable[V]) put(key [20]byte, val V) {
-	if t.live+t.dead >= len(t.slots)-len(t.slots)/4 {
-		t.rebuild()
-	}
-	mask := uint64(len(t.slots) - 1)
-	firstDead := -1
-	for i := ringHash(key) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		switch s.state {
-		case slotEmpty:
-			if firstDead >= 0 {
-				s = &t.slots[firstDead]
-				t.dead--
-			}
-			s.state = slotLive
-			s.key = key
-			s.val = val
-			t.live++
-			return
-		case slotLive:
-			if s.key == key {
-				s.val = val
-				return
-			}
-		case slotDead:
-			if firstDead < 0 {
-				firstDead = int(i)
-			}
-		}
-	}
-}
-
-// remove deletes key, reporting whether it was present.
-func (t *ringTable[V]) remove(key [20]byte) bool {
-	if len(t.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := ringHash(key) & mask; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		switch s.state {
-		case slotEmpty:
-			return false
-		case slotLive:
-			if s.key == key {
-				var zero V
-				s.state = slotDead
-				s.val = zero // release the pointee to GC
-				t.live--
-				t.dead++
-				return true
-			}
-		}
-	}
-}
-
-// rebuild grows the table (or compacts tombstones in place when the
-// live population does not justify growth) and reinserts live slots.
-func (t *ringTable[V]) rebuild() {
-	size := 16
-	for size < 3*t.live {
-		size *= 2
-	}
-	old := t.slots
-	t.slots = make([]ringSlot[V], size)
-	t.live, t.dead = 0, 0
-	mask := uint64(size - 1)
-	for i := range old {
-		s := &old[i]
-		if s.state != slotLive {
-			continue
-		}
-		for j := ringHash(s.key) & mask; ; j = (j + 1) & mask {
-			if t.slots[j].state == slotEmpty {
-				t.slots[j] = *s
-				t.live++
-				break
-			}
-		}
-	}
-}
-
-// descShards/relayShards shard the backends: ring keys are uniform, so
-// any byte selects a shard, and each growth step rehashes 1/16 of the
-// population instead of all of it. Byte 8 avoids the bytes used as the
-// probe hash.
-const (
-	descShards  = 16
-	relayShards = 16
-)
-
-// ShardedDescriptorStore is the default backend: 16 open-addressed
-// ringTable shards. See the package comment in this file for the design
-// and store_test.go for the differential test against the flat backend.
-type ShardedDescriptorStore struct {
-	shards [descShards]ringTable[*Descriptor]
-	n      int
-}
-
-// NewShardedDescriptorStore returns an empty sharded backend.
-func NewShardedDescriptorStore() *ShardedDescriptorStore {
-	return &ShardedDescriptorStore{}
-}
-
-// Put stores (or replaces) the descriptor at id.
-func (s *ShardedDescriptorStore) Put(id DescriptorID, d *Descriptor) {
-	t := &s.shards[id[8]&(descShards-1)]
-	before := t.live
-	t.put(id, d)
-	s.n += t.live - before
-}
-
-// Get returns the descriptor stored at id.
-func (s *ShardedDescriptorStore) Get(id DescriptorID) (*Descriptor, bool) {
-	return s.shards[id[8]&(descShards-1)].get(id)
-}
-
-// Delete removes the descriptor at id.
-func (s *ShardedDescriptorStore) Delete(id DescriptorID) {
-	if s.shards[id[8]&(descShards-1)].remove(id) {
-		s.n--
-	}
-}
-
-// Len reports the number of stored descriptors.
-func (s *ShardedDescriptorStore) Len() int { return s.n }
-
-// relayTable maps fingerprints to live relays with the same sharded
-// open-addressed layout as ShardedDescriptorStore.
-type relayTable struct {
-	shards [relayShards]ringTable[*Relay]
-	n      int
-}
-
-func newRelayTable() *relayTable { return &relayTable{} }
-
-// get returns the relay for fp, or nil.
-func (t *relayTable) get(fp Fingerprint) *Relay {
-	r, _ := t.shards[fp[8]&(relayShards-1)].get(fp)
-	return r
-}
-
-// put inserts fp -> r; the caller has already rejected duplicates.
-func (t *relayTable) put(fp Fingerprint, r *Relay) {
-	sh := &t.shards[fp[8]&(relayShards-1)]
-	before := sh.live
-	sh.put(fp, r)
-	t.n += sh.live - before
-}
-
-// remove deletes fp, reporting whether it was present.
-func (t *relayTable) remove(fp Fingerprint) bool {
-	if t.shards[fp[8]&(relayShards-1)].remove(fp) {
-		t.n--
-		return true
-	}
-	return false
-}
-
-// len reports the number of live relays.
-func (t *relayTable) len() int { return t.n }

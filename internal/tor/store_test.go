@@ -8,109 +8,57 @@ import (
 	"onionbots/internal/sim"
 )
 
-// TestShardedStoreMatchesFlat drives both DescriptorStore backends with
-// an identical randomized put/get/delete/overwrite workload and requires
-// identical observable behavior at every step.
-func TestShardedStoreMatchesFlat(t *testing.T) {
-	rng := sim.NewRNG(42)
-	flat := NewFlatDescriptorStore()
-	sharded := NewShardedDescriptorStore()
-
-	// A small id pool forces overwrites and deletes of live entries; a
-	// shared 8-byte prefix across part of the pool forces chain handling.
-	ids := make([]DescriptorID, 64)
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
-		if i%4 == 0 {
-			copy(ids[i][:8], []byte("collide!")) // same uint64 prefix
+// TestDescriptorStore pins the store's contract one operation at a
+// time: put, replace, get-miss, delete, delete of an absent id, and Len.
+// Each step runs on the state the previous steps left.
+func TestDescriptorStore(t *testing.T) {
+	var a, b, c DescriptorID
+	a[0], b[0], c[0] = 1, 2, 3
+	d1, d2 := &Descriptor{TimePeriod: 1}, &Descriptor{TimePeriod: 2}
+	var s DescriptorStore
+	for _, tc := range []struct {
+		name    string
+		op      func()
+		id      DescriptorID
+		want    *Descriptor // nil: id must be absent
+		wantLen int
+	}{
+		{"zero value is empty", func() {}, a, nil, 0},
+		{"put", func() { s.Put(a, d1) }, a, d1, 1},
+		{"put second id", func() { s.Put(b, d1) }, b, d1, 2},
+		{"replace", func() { s.Put(a, d2) }, a, d2, 2},
+		{"get miss", func() {}, c, nil, 2},
+		{"delete", func() { s.Delete(a) }, a, nil, 1},
+		{"delete absent is a no-op", func() { s.Delete(c) }, b, d1, 1},
+		{"delete last", func() { s.Delete(b) }, b, nil, 0},
+	} {
+		tc.op()
+		got, ok := s.Get(tc.id)
+		if ok != (tc.want != nil) || got != tc.want {
+			t.Fatalf("%s: Get(%x) = (%v, %v), want %v", tc.name, tc.id[:1], got, ok, tc.want)
 		}
-	}
-	descs := make([]*Descriptor, 8)
-	for i := range descs {
-		descs[i] = &Descriptor{Sig: rng.Bytes(4)}
-	}
-
-	for step := 0; step < 20000; step++ {
-		id := ids[rng.Intn(len(ids))]
-		switch rng.Intn(4) {
-		case 0, 1:
-			d := descs[rng.Intn(len(descs))]
-			flat.Put(id, d)
-			sharded.Put(id, d)
-		case 2:
-			flat.Delete(id)
-			sharded.Delete(id)
-		default:
-			fd, fok := flat.Get(id)
-			sd, sok := sharded.Get(id)
-			if fok != sok || fd != sd {
-				t.Fatalf("step %d: Get(%x) flat=(%v,%v) sharded=(%v,%v)", step, id[:4], fd, fok, sd, sok)
-			}
-		}
-		if flat.Len() != sharded.Len() {
-			t.Fatalf("step %d: Len flat=%d sharded=%d", step, flat.Len(), sharded.Len())
-		}
-	}
-	// Full sweep at the end: every id must agree.
-	for _, id := range ids {
-		fd, fok := flat.Get(id)
-		sd, sok := sharded.Get(id)
-		if fok != sok || fd != sd {
-			t.Fatalf("final Get(%x) flat=(%v,%v) sharded=(%v,%v)", id[:4], fd, fok, sd, sok)
+		if s.Len() != tc.wantLen {
+			t.Fatalf("%s: Len = %d, want %d", tc.name, s.Len(), tc.wantLen)
 		}
 	}
 }
 
-// TestShardedStoreSteadyChurnZeroAlloc pins the freelist claim: churning
-// descriptors at a steady population allocates nothing.
-func TestShardedStoreSteadyChurnZeroAlloc(t *testing.T) {
-	rng := sim.NewRNG(7)
-	s := NewShardedDescriptorStore()
-	ids := make([]DescriptorID, 256)
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
+// TestNewDescriptorStoreByName pins the deprecated name lookup: the
+// empty name builds an empty store, and every other name, including
+// the retired backends', is rejected.
+func TestNewDescriptorStoreByName(t *testing.T) {
+	factory, err := NewDescriptorStoreByName("")
+	if err != nil {
+		t.Fatalf(`NewDescriptorStoreByName(""): %v`, err)
 	}
-	d := &Descriptor{}
-	for _, id := range ids {
-		s.Put(id, d)
+	if s := factory(); s == nil || s.Len() != 0 {
+		t.Fatalf(`NewDescriptorStoreByName("") built %v, want an empty store`, s)
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		id := ids[i%len(ids)]
-		s.Delete(id)
-		s.Put(id, d)
-		if _, ok := s.Get(id); !ok {
-			t.Fatal("lost entry")
+	for _, name := range []string{"flat", "sharded", "mmap", "bogus"} {
+		if _, err := NewDescriptorStoreByName(name); err == nil {
+			t.Fatalf("NewDescriptorStoreByName(%q) accepted", name)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady churn allocated %.1f objects/op, want 0", allocs)
 	}
-}
-
-// TestFlatStoreBackendOption pins the Config escape hatch: a network
-// configured with the flat backend behaves identically through the full
-// host/dial path.
-func TestFlatStoreBackendOption(t *testing.T) {
-	sched := sim.NewScheduler()
-	n := NewNetwork(sched, sim.NewRNG(3), Config{
-		NewDescriptorStore: func() DescriptorStore { return NewFlatDescriptorStore() },
-	})
-	if err := n.Bootstrap(12); err != nil {
-		t.Fatal(err)
-	}
-	var seed [32]byte
-	seed[0] = 9
-	hs, err := NewProxy(n).Host(IdentityFromSeed(seed), func(*Conn) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := NewProxy(n).Dial(hs.Onion())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
 }
 
 // TestRelayTableSwapRemove exercises relay insertion/removal ordering:
@@ -165,7 +113,7 @@ func TestRelayTableSwapRemove(t *testing.T) {
 	}
 }
 
-// BenchmarkDescriptorStoreLookup compares backend lookup cost at HSDir
+// BenchmarkDescriptorStoreLookup measures lookup cost at HSDir
 // populations matching a large botnet (every bot publishes 2 replicas ×
 // 3 directories).
 func BenchmarkDescriptorStoreLookup(b *testing.B) {
@@ -173,101 +121,39 @@ func BenchmarkDescriptorStoreLookup(b *testing.B) {
 		rng := sim.NewRNG(11)
 		ids := make([]DescriptorID, size)
 		d := &Descriptor{}
+		var s DescriptorStore
 		for i := range ids {
 			copy(ids[i][:], rng.Bytes(20))
+			s.Put(ids[i], d)
 		}
-		for _, backend := range []struct {
-			name string
-			s    DescriptorStore
-		}{
-			{"flat", NewFlatDescriptorStore()},
-			{"sharded", NewShardedDescriptorStore()},
-			{"mmap", NewMmapDescriptorStore()},
-		} {
-			for _, id := range ids {
-				backend.s.Put(id, d)
-			}
-			b.Run(fmt.Sprintf("%s/n=%d", backend.name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, ok := backend.s.Get(ids[i%size]); !ok {
-						b.Fatal("missing id")
-					}
+		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Get(ids[i%size]); !ok {
+					b.Fatal("missing id")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkDescriptorStoreBuild compares populating a store from empty
-// to n=100000 — the "build a large network" path, where the flat map
-// rehashes its whole population at every doubling.
-func BenchmarkDescriptorStoreBuild(b *testing.B) {
-	const size = 100000
-	rng := sim.NewRNG(17)
-	ids := make([]DescriptorID, size)
-	d := &Descriptor{}
-	for i := range ids {
-		copy(ids[i][:], rng.Bytes(20))
-	}
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewFlatDescriptorStore()
-			for _, id := range ids {
-				s.Put(id, d)
-			}
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewShardedDescriptorStore()
-			for _, id := range ids {
-				s.Put(id, d)
-			}
-		}
-	})
-	b.Run("mmap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := NewMmapDescriptorStore()
-			for _, id := range ids {
-				s.Put(id, d)
-			}
-			s.Close()
-		}
-	})
-}
-
-// BenchmarkDescriptorStoreChurn compares put/delete churn, the
-// rehash-bound operation at scale.
+// BenchmarkDescriptorStoreChurn measures steady put/delete churn at a
+// population of 10^5 descriptors.
 func BenchmarkDescriptorStoreChurn(b *testing.B) {
 	const size = 100000
 	rng := sim.NewRNG(13)
 	ids := make([]DescriptorID, size)
 	d := &Descriptor{}
+	var s DescriptorStore
 	for i := range ids {
 		copy(ids[i][:], rng.Bytes(20))
+		s.Put(ids[i], d)
 	}
-	for _, backend := range []struct {
-		name string
-		s    DescriptorStore
-	}{
-		{"flat", NewFlatDescriptorStore()},
-		{"sharded", NewShardedDescriptorStore()},
-		{"mmap", NewMmapDescriptorStore()},
-	} {
-		for _, id := range ids {
-			backend.s.Put(id, d)
-		}
-		b.Run(backend.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				id := ids[i%size]
-				backend.s.Delete(id)
-				backend.s.Put(id, d)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := ids[i%size]
+		s.Delete(id)
+		s.Put(id, d)
 	}
 }
