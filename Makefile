@@ -9,8 +9,9 @@ GO        ?= go
 BENCHTIME ?= 200x
 # The microbenchmark set archived per PR: scheduler (wheel vs heap),
 # batched ticks, descriptor-store lookup and churn, the data-plane
-# fast paths from PR 1, and PR 5's pooled-vs-unpooled infection pair.
-BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|DescriptorStore|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom
+# fast paths from PR 1, PR 5's pooled-vs-unpooled infection pair, and
+# the graph layer (CSR snapshot, BFS, DDSR takedown with pruning).
+BENCH     ?= SchedulerSteadyState|SchedulerBatchedTicks|DescriptorStore|CellRelayHop|SealOpenSession|HiddenServiceDial|InfectFrom|Snapshot5000x10|BFS5000x10|RemoveNodeWithPruning
 
 # External lint tool versions are pinned in tools/go.mod (a separate
 # module, so the simulator's go.mod keeps zero dependencies). The
@@ -71,7 +72,8 @@ bench:
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_pr9.json
 
 # fuzz-smoke runs every native fuzz target for a short budget each —
-# enough to shake out parser panics on every CI run while keeping the
+# enough to shake out parser panics, and graph/reference disagreements,
+# on every CI run while keeping the
 # job bounded. Longer local sessions: make fuzz-smoke FUZZTIME=30s.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -81,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParseSweep -fuzztime=$(FUZZTIME) ./internal/experiment/
 	$(GO) test -run=NONE -fuzz=FuzzReplayJournal -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run=NONE -fuzz=FuzzGraphOps -fuzztime=$(FUZZTIME) ./internal/graph/
 
 # determinism asserts the scheduler/runner contract: -exp all output is
 # byte-identical at any -parallel value.

@@ -2,6 +2,7 @@ package ddsr
 
 import (
 	"fmt"
+	"slices"
 
 	"onionbots/internal/graph"
 	"onionbots/internal/sim"
@@ -74,10 +75,12 @@ type Overlay struct {
 	rng   *sim.RNG
 	stats Stats
 	// nbuf and nnbuf are reusable neighbor-list scratches for the
-	// prune/floor scans, which would otherwise allocate and sort one
-	// (or, for NoN scans, k+1) slices per repair step.
-	nbuf  []int
-	nnbuf []int
+	// prune/floor scans, which would otherwise allocate one (or, for NoN
+	// scans, k+1) slices per repair step. touched collects the nodes a
+	// takedown or join must re-check against the DMin floor.
+	nbuf    []int
+	nnbuf   []int
+	touched []int
 }
 
 var (
@@ -145,15 +148,15 @@ func (o *Overlay) repairNeighborhood(nbrs []int) {
 	}
 
 	// Pruning: each former neighbor trims its highest-degree peers until
-	// back within DMax.
-	lost := make(map[int]struct{}) // nodes that lost an edge to pruning
+	// back within DMax. Both ends of a pruned edge join the floor
+	// candidates (a pruning former neighbor is one already).
+	o.touched = append(o.touched[:0], nbrs...)
 	for _, v := range nbrs {
 		for o.g.Degree(v) > o.cfg.DMax {
 			w := o.highestDegreePeer(v)
 			o.g.RemoveEdge(v, w)
 			o.stats.EdgesPruned++
-			lost[w] = struct{}{}
-			lost[v] = struct{}{}
+			o.touched = append(o.touched, w)
 		}
 	}
 
@@ -161,19 +164,17 @@ func (o *Overlay) repairNeighborhood(nbrs []int) {
 		return
 	}
 	// Floor: any node involved in this round whose degree dropped below
-	// DMin re-peers with its lowest-degree neighbors-of-neighbors.
-	candidates := make([]int, 0, len(nbrs)+len(lost))
-	candidates = append(candidates, nbrs...)
-	for w := range lost {
-		candidates = append(candidates, w)
-	}
-	sortInts(candidates)
-	seen := make(map[int]struct{}, len(candidates))
-	for _, v := range candidates {
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
+	// DMin re-peers with its lowest-degree neighbors-of-neighbors,
+	// visited once each in ascending id order.
+	o.floorTouched()
+}
+
+// floorTouched runs enforceFloor over the distinct touched nodes in
+// ascending order.
+func (o *Overlay) floorTouched() {
+	slices.Sort(o.touched)
+	o.touched = slices.Compact(o.touched)
+	for _, v := range o.touched {
 		o.enforceFloor(v)
 	}
 }
@@ -244,7 +245,7 @@ func (o *Overlay) Join(id int, peers []int) int {
 	o.g.AddNode(id)
 	o.stats.NodesJoined++
 	added := 0
-	var lost map[int]struct{}
+	o.touched = o.touched[:0]
 	for _, p := range peers {
 		if o.cfg.DMax > 0 && o.g.Degree(id) >= o.cfg.DMax {
 			break
@@ -260,23 +261,12 @@ func (o *Overlay) Join(id int, peers []int) int {
 			w := o.highestDegreePeer(p)
 			o.g.RemoveEdge(p, w)
 			o.stats.EdgesPruned++
-			if lost == nil {
-				lost = make(map[int]struct{})
-			}
-			lost[p] = struct{}{}
-			lost[w] = struct{}{}
+			o.touched = append(o.touched, p, w)
 		}
 	}
 	if o.cfg.DMin > 0 {
 		o.enforceFloor(id)
-		candidates := make([]int, 0, len(lost))
-		for w := range lost {
-			candidates = append(candidates, w)
-		}
-		sortInts(candidates)
-		for _, v := range candidates {
-			o.enforceFloor(v)
-		}
+		o.floorTouched()
 	}
 	o.stats.JoinEdgesAdded += added
 	return added
@@ -355,12 +345,4 @@ func (o *Overlay) lowestDegreeNoN(v int) int {
 		}
 	}
 	return best
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

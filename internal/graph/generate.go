@@ -46,10 +46,7 @@ func tryRegular(n, k int, rng *sim.RNG) (*Graph, bool) {
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 
-	g := New()
-	for v := 0; v < n; v++ {
-		g.AddNode(v)
-	}
+	g := newDense(n, k)
 	// edgeList mirrors g's edges so we can pick a uniform random edge in
 	// O(1) during repair swaps.
 	type edge struct{ u, v int }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,12 +121,21 @@ func TestMaxAvgDegree(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
+	// Corrupt the representation directly: drop one half of an edge.
 	g := New()
 	g.AddEdge(1, 2)
-	// Corrupt: make edge asymmetric by reaching into the representation.
-	delete(g.adj[2], 1)
+	g.adj[2] = g.adj[2][:0]
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted an asymmetric edge")
+	}
+
+	// Swap a row out of order; the edge set itself stays symmetric.
+	g = Star(4)
+	row := g.adj[0]
+	row[0], row[1] = row[1], row[0]
+	err := g.Validate()
+	if err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("Validate on an unsorted row = %v, want an ascending-order error", err)
 	}
 }
 
@@ -156,13 +166,28 @@ func TestGraphPropertyRandomMutations(t *testing.T) {
 }
 
 func TestConnectedSparseAndNegativeIDs(t *testing.T) {
-	// Negative and hash-like sparse ids take the map-visited fallback;
-	// the answer must match the snapshot-based component count.
+	// Ids index the storage, so a negative id is a programming error.
+	for _, add := range []func(*Graph){
+		func(g *Graph) { g.AddNode(-1) },
+		func(g *Graph) { g.AddEdge(-5, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("negative id did not panic")
+				}
+			}()
+			add(New())
+		}()
+	}
+
+	// Gapped ids leave absent slots between nodes; connectivity must
+	// ignore them and agree with the snapshot-based component count.
 	g := New()
-	g.AddEdge(-5, 1000000007)
-	g.AddEdge(1000000007, 3)
+	g.AddEdge(0, 900)
+	g.AddEdge(900, 5)
 	if !g.Connected() {
-		t.Fatal("3-node path reported disconnected")
+		t.Fatal("3-node path over ids {0, 5, 900} reported disconnected")
 	}
 	g.AddNode(42)
 	if g.Connected() {
@@ -170,6 +195,11 @@ func TestConnectedSparseAndNegativeIDs(t *testing.T) {
 	}
 	if got := NumComponents(g); got != 2 {
 		t.Fatalf("NumComponents = %d, want 2", got)
+	}
+	g.RemoveNode(42)
+	g.RemoveNode(0)
+	if !g.Connected() || g.NumNodes() != 2 {
+		t.Fatalf("after removals: Connected=%v NumNodes=%d, want true, 2", g.Connected(), g.NumNodes())
 	}
 }
 

@@ -1,10 +1,8 @@
 package graph
 
-import "slices"
-
 // Indexed is an immutable compressed-adjacency snapshot of a Graph with
-// dense ids 0..N-1. Metrics run against snapshots because repeated BFS
-// over map-based adjacency is an order of magnitude slower.
+// dense ids 0..N-1. Metrics run against snapshots because BFS over one
+// contiguous neighbor array beats chasing per-node rows.
 type Indexed struct {
 	// IDs maps dense index -> original node id, sorted ascending.
 	IDs []int
@@ -14,29 +12,25 @@ type Indexed struct {
 	nbr []int32
 }
 
-// Snapshot builds an Indexed view of g.
+// Snapshot builds an Indexed view of g. Relabelling through index is
+// monotone (ids are taken in ascending order), so each copied row stays
+// sorted and snapshots — and everything order-sensitive built on them,
+// like the double-sweep diameter heuristic — are a pure function of the
+// graph.
 func (g *Graph) Snapshot() *Indexed {
 	ids := g.Nodes()
-	index := make(map[int]int32, len(ids))
-	for i, id := range ids {
-		index[id] = int32(i)
-	}
+	index := make([]int32, len(g.adj))
 	off := make([]int32, len(ids)+1)
 	for i, id := range ids {
-		off[i+1] = off[i] + int32(g.Degree(id))
+		index[id] = int32(i)
+		off[i+1] = off[i] + int32(len(g.adj[id]))
 	}
 	nbr := make([]int32, off[len(ids)])
-	cursor := make([]int32, len(ids))
-	copy(cursor, off[:len(ids)])
 	for i, id := range ids {
-		for v := range g.adj[id] {
-			nbr[cursor[i]] = index[v]
-			cursor[i]++
+		row := nbr[off[i]:off[i+1]]
+		for j, v := range g.adj[id] {
+			row[j] = index[v]
 		}
-		// Map iteration order is random; sort each row so snapshots — and
-		// everything order-sensitive built on them, like the double-sweep
-		// diameter heuristic — are a pure function of the graph.
-		slices.Sort(nbr[off[i]:off[i+1]])
 	}
 	return &Indexed{IDs: ids, off: off, nbr: nbr}
 }
